@@ -159,14 +159,14 @@ mod tests {
     #[test]
     fn drbac_encoding_actually_authorizes_enrollment() {
         use drbac_core::{ProofValidator, Timestamp, ValidationContext};
-        use drbac_graph::{DelegationGraph, SearchOptions};
+        use drbac_graph::{SearchOptions, ShardedGraph};
 
         let (owner, admins) = world(2);
         let mut rng = StdRng::seed_from_u64(5);
         let user = LocalEntity::generate("User", SchnorrGroup::test_256(), &mut rng);
         let enc = drbac_encoding(&owner, &admins, &roles(3)).unwrap();
 
-        let mut graph = DelegationGraph::new();
+        let graph = ShardedGraph::new();
         for cert in enc.setup {
             graph.insert(cert);
         }
@@ -192,14 +192,14 @@ mod tests {
     #[test]
     fn phantom_encoding_authorizes_via_local_role() {
         use drbac_core::{ProofValidator, Timestamp, ValidationContext};
-        use drbac_graph::{DelegationGraph, SearchOptions};
+        use drbac_graph::{SearchOptions, ShardedGraph};
 
         let (owner, admins) = world(2);
         let mut rng = StdRng::seed_from_u64(6);
         let user = LocalEntity::generate("User", SchnorrGroup::test_256(), &mut rng);
         let enc = phantom_encoding(&owner, &admins, &roles(3)).unwrap();
 
-        let mut graph = DelegationGraph::new();
+        let graph = ShardedGraph::new();
         for cert in enc.setup {
             graph.insert(cert);
         }

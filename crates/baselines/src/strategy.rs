@@ -12,7 +12,7 @@
 use std::collections::{HashSet, VecDeque};
 
 use drbac_core::{Node, Timestamp};
-use drbac_graph::DelegationGraph;
+use drbac_graph::{GraphView, ShardedGraph};
 
 /// Work counters for one strategy run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -27,7 +27,7 @@ pub struct StrategyStats {
 
 /// Forward breadth-first search (subject towards object).
 pub fn forward_search(
-    graph: &DelegationGraph,
+    graph: &ShardedGraph,
     subject: &Node,
     object: &Node,
     now: Timestamp,
@@ -37,7 +37,7 @@ pub fn forward_search(
 
 /// Reverse breadth-first search (object towards subject).
 pub fn reverse_search(
-    graph: &DelegationGraph,
+    graph: &ShardedGraph,
     subject: &Node,
     object: &Node,
     now: Timestamp,
@@ -46,7 +46,7 @@ pub fn reverse_search(
 }
 
 fn directed_search(
-    graph: &DelegationGraph,
+    graph: &ShardedGraph,
     start: &Node,
     target: &Node,
     now: Timestamp,
@@ -61,12 +61,14 @@ fn directed_search(
         stats.nodes_expanded += 1;
         let neighbors: Vec<Node> = if forward {
             graph
-                .outgoing(&node, now)
+                .edges_from(&node, now)
+                .iter()
                 .map(|c| c.delegation().object().clone())
                 .collect()
         } else {
             graph
-                .incoming(&node, now)
+                .edges_to(&node, now)
+                .iter()
                 .map(|c| c.delegation().subject().clone())
                 .collect()
         };
@@ -87,7 +89,7 @@ fn directed_search(
 /// Bidirectional search: alternately expands the smaller frontier from
 /// each end until the frontiers meet.
 pub fn bidirectional_search(
-    graph: &DelegationGraph,
+    graph: &ShardedGraph,
     subject: &Node,
     object: &Node,
     now: Timestamp,
@@ -112,7 +114,7 @@ pub fn bidirectional_search(
         if expand_forward {
             if let Some(node) = fwd_queue.pop_front() {
                 stats.nodes_expanded += 1;
-                for cert in graph.outgoing(&node, now) {
+                for cert in graph.edges_from(&node, now) {
                     stats.edges_considered += 1;
                     let next = cert.delegation().object().clone();
                     if rev_visited.contains(&next) {
@@ -126,7 +128,7 @@ pub fn bidirectional_search(
             }
         } else if let Some(node) = rev_queue.pop_front() {
             stats.nodes_expanded += 1;
-            for cert in graph.incoming(&node, now) {
+            for cert in graph.edges_to(&node, now) {
                 stats.edges_considered += 1;
                 let next = cert.delegation().subject().clone();
                 if fwd_visited.contains(&next) {

@@ -40,8 +40,8 @@ fn journaled_store(certs: usize) -> Arc<WalletStore> {
     let wallet = Wallet::new("bench.store", SimClock::new());
     let store = Arc::new(WalletStore::in_memory());
     wallet.attach_journal(Arc::clone(&store));
-    for cert in workload.graph.iter() {
-        wallet.publish(Arc::clone(cert), vec![]).unwrap();
+    for cert in workload.graph.iter_certs() {
+        wallet.publish(cert, vec![]).unwrap();
     }
     store
 }

@@ -6,14 +6,13 @@
 //! efficient enumeration of delegation chains between any specified
 //! subject and object" (§4.1). This crate provides that structure:
 //!
-//! * [`DelegationGraph`] — an indexed store of signed delegations,
-//!   provided support proofs, attribute declarations, and revocations;
-//! * [`ShardedGraph`] — the same store sharded by subject-entity
-//!   fingerprint behind per-shard locks, so concurrent readers and
-//!   writers don't serialize on one lock;
-//! * the three query forms of §4.1 — [`DelegationGraph::direct_query`]
-//!   (`S ⇒ O?`), [`DelegationGraph::subject_query`] (`S ⇒ *`), and
-//!   [`DelegationGraph::object_query`] (`* ⇒ O`) — all constraint-aware
+//! * [`ShardedGraph`] — the one indexed store of signed delegations,
+//!   provided support proofs, attribute declarations, and revocations,
+//!   sharded by subject-entity fingerprint behind per-shard locks so
+//!   concurrent readers and writers don't serialize on one lock;
+//! * the three query forms of §4.1 — [`ShardedGraph::direct_query`]
+//!   (`S ⇒ O?`), [`ShardedGraph::subject_query`] (`S ⇒ *`), and
+//!   [`ShardedGraph::object_query`] (`* ⇒ O`) — all constraint-aware
 //!   and available against any [`GraphView`] (see [`direct_query_on`]);
 //! * monotonicity-based pruning of constrained searches (§4.2.3), with
 //!   [`SearchStats`] so experiments can measure its effect;
@@ -23,9 +22,8 @@
 //!   ([`SearchOptions::with_workers`]) with results identical to the
 //!   sequential search.
 //!
-//! See [`DelegationGraph`] for a worked example.
+//! See [`ShardedGraph`] for a worked example.
 
-mod graph;
 mod intern;
 #[doc(hidden)]
 pub mod reference;
@@ -33,10 +31,9 @@ mod search;
 mod sharded;
 mod view;
 
-pub use graph::{DelegationGraph, GraphMetrics};
 pub use intern::{FastIdHasher, FastMap, FastSet, NodeId, NodeInterner};
 pub use search::{
     direct_query_on, object_query_on, subject_query_on, SearchOptions, SearchStats,
 };
-pub use sharded::ShardedGraph;
+pub use sharded::{GraphMetrics, ShardedGraph};
 pub use view::{GraphView, InternedEdge};

@@ -1,10 +1,9 @@
 //! Chain search over the delegation graph: the three wallet query forms
 //! (§4.1) with monotonicity-based pruning (§4.2.3).
 //!
-//! The engine is generic over [`GraphView`] so the same traversal runs
-//! against the single-threaded [`DelegationGraph`] and the concurrent
-//! [`crate::ShardedGraph`]. Three structural choices keep the cold path
-//! allocation-light:
+//! The engine is generic over [`GraphView`]; the store,
+//! [`ShardedGraph`], answers the three query forms through it. Three
+//! structural choices keep the cold path allocation-light:
 //!
 //! * **Interned ids.** Nodes are dense `u32` ids from the graph-owned
 //!   [`crate::NodeInterner`]; frontier dedup, result keying, and
@@ -39,7 +38,7 @@ use drbac_core::{
 
 use crate::intern::{FastMap, FastSet, NodeId};
 use crate::view::GraphView;
-use crate::DelegationGraph;
+use crate::ShardedGraph;
 
 /// Queue batches smaller than this are expanded inline by the merging
 /// thread even when `workers > 1`: for one or two states, thread hand-off
@@ -355,33 +354,7 @@ pub(crate) fn order_key(p: &Proof, endpoint: &Node) -> (usize, Vec<DelegationId>
     (p.chain_len(), ids, endpoint.to_string())
 }
 
-impl DelegationGraph {
-    /// Direct query (§4.1): does a proof `subject ⇒ object` exist that
-    /// satisfies the constraints? Returns the first one found
-    /// (breadth-first, so minimal chain length) and the search work done.
-    pub fn direct_query(
-        &self,
-        subject: &Node,
-        object: &Node,
-        opts: &SearchOptions,
-    ) -> (Option<Proof>, SearchStats) {
-        direct_query_on(self, subject, object, opts)
-    }
-
-    /// Subject query (§4.1): enumerate proofs `subject ⇒ *` that do not
-    /// violate the constraints, one per reachable node.
-    pub fn subject_query(&self, subject: &Node, opts: &SearchOptions) -> (Vec<Proof>, SearchStats) {
-        subject_query_on(self, subject, opts)
-    }
-
-    /// Object query (§4.1): enumerate proofs `* ⇒ object` that do not
-    /// violate the constraints, one per reaching node.
-    pub fn object_query(&self, object: &Node, opts: &SearchOptions) -> (Vec<Proof>, SearchStats) {
-        object_query_on(self, object, opts)
-    }
-}
-
-impl DelegationGraph {
+impl ShardedGraph {
     /// Enumerates *all* distinct proofs `subject ⇒ object` (simple paths,
     /// no node repeated) satisfying the constraints, up to `max_proofs`.
     ///
@@ -389,7 +362,7 @@ impl DelegationGraph {
     /// ("enumerate the full set of proofs") and the direct measure of the
     /// §4.2.3 path-explosion phenomenon: in a tree with constant
     /// branching the count grows exponentially with depth, which is why
-    /// [`DelegationGraph::direct_query`] exists as the single-answer
+    /// [`ShardedGraph::direct_query`] exists as the single-answer
     /// search. Returns `(proofs, stats)`; stats count every edge touched
     /// during the walk.
     pub fn enumerate_proofs(
@@ -425,7 +398,7 @@ impl<'g, G: GraphView + ?Sized> Engine<'g, G> {
     }
 
     /// Depth-first simple-path enumeration for
-    /// [`DelegationGraph::enumerate_proofs`].
+    /// [`ShardedGraph::enumerate_proofs`].
     fn enumerate(
         &mut self,
         node: &Node,
@@ -1019,7 +992,7 @@ mod tests {
     #[test]
     fn multi_hop_chain_found_and_validates() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         let r1 = f.a.role("r1");
         let r2 = f.a.role("r2");
         let r3 = f.a.role("r3");
@@ -1050,7 +1023,7 @@ mod tests {
     #[test]
     fn no_path_returns_none() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         g.insert(
             f.a.delegate(Node::entity(&f.maria), Node::role(f.a.role("r1")))
                 .sign(&f.a)
@@ -1067,7 +1040,7 @@ mod tests {
     #[test]
     fn bfs_finds_shortest_chain() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         let target = f.a.role("target");
         let hop = f.a.role("hop");
         // Long path Maria -> hop -> target, and short path Maria -> target.
@@ -1093,7 +1066,7 @@ mod tests {
     #[test]
     fn third_party_edge_uses_provided_support() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         let member = f.a.role("member");
         // A grants B member'.
         let grant =
@@ -1121,7 +1094,7 @@ mod tests {
     #[test]
     fn third_party_support_discovered_from_graph() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         let member = f.a.role("member");
         // Support material is in the graph but not pre-packaged.
         g.insert(
@@ -1145,7 +1118,7 @@ mod tests {
     #[test]
     fn unsupported_third_party_edge_is_unusable() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         let member = f.a.role("member");
         g.insert(
             f.b.delegate(Node::entity(&f.maria), Node::role(member.clone()))
@@ -1159,7 +1132,7 @@ mod tests {
     #[test]
     fn subject_query_enumerates_reachable() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         let r1 = f.a.role("r1");
         let r2 = f.a.role("r2");
         g.insert(
@@ -1189,7 +1162,7 @@ mod tests {
     #[test]
     fn object_query_enumerates_reaching() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         let r1 = f.a.role("r1");
         let r2 = f.a.role("r2");
         g.insert(
@@ -1218,7 +1191,7 @@ mod tests {
     #[test]
     fn constraint_pruning_cuts_work_but_preserves_answers() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         let bw = f.a.attr("BW", AttrOp::Min);
         g.insert_declaration(&AttrDeclaration::new(bw.clone(), 1000.0).unwrap());
         let target = f.a.role("target");
@@ -1270,7 +1243,7 @@ mod tests {
         );
         assert!(p1
             .accumulate()
-            .satisfies(&pruned_opts.constraints, g.declarations()));
+            .satisfies(&pruned_opts.constraints, &g.declarations()));
         assert!(
             s1.edges_considered <= s2.edges_considered,
             "pruning should not examine more edges ({} vs {})",
@@ -1285,7 +1258,7 @@ mod tests {
         // The Pareto frontier must keep the second path alive even though
         // the violating path reaches nodes first.
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         let bw = f.a.attr("BW", AttrOp::Min);
         g.insert_declaration(&AttrDeclaration::new(bw.clone(), 1000.0).unwrap());
         let mid = f.a.role("mid");
@@ -1329,7 +1302,7 @@ mod tests {
     #[test]
     fn depth_limit_bounds_search() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         let mut prev = Node::entity(&f.maria);
         for i in 0..10 {
             let r = f.a.role(&format!("r{i}"));
@@ -1350,7 +1323,7 @@ mod tests {
     #[test]
     fn cyclic_graph_terminates() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         let r1 = f.a.role("r1");
         let r2 = f.a.role("r2");
         g.insert(
@@ -1380,7 +1353,7 @@ mod tests {
         // self-certified root exists, so no proof should be found (and the
         // search must terminate).
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         let r = f.a.role("r");
         let b = &f.b;
         let mut rng = StdRng::seed_from_u64(99);
@@ -1407,7 +1380,7 @@ mod tests {
     #[test]
     fn enumerate_proofs_finds_every_simple_path() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         let target = f.a.role("target");
         // Diamond: Maria -> {l, r} -> target, plus a direct edge: 3 paths.
         for name in ["l", "r"] {
@@ -1455,7 +1428,7 @@ mod tests {
         // Layered graph with branching 2 between layers: path count 2^depth.
         let f = fx();
         for depth in [2usize, 3, 4] {
-            let mut g = DelegationGraph::new();
+            let g = ShardedGraph::new();
             let mut prev_layer = vec![Node::entity(&f.maria)];
             for l in 0..depth {
                 let layer: Vec<Node> = (0..2)
@@ -1484,7 +1457,7 @@ mod tests {
     #[test]
     fn enumerate_proofs_respects_cap_and_constraints() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         let bw = f.a.attr("BW", AttrOp::Min);
         g.insert_declaration(&AttrDeclaration::new(bw.clone(), 1000.0).unwrap());
         let target = f.a.role("target");
@@ -1523,7 +1496,7 @@ mod tests {
         // Two routes to the target: a short depth-0 grant reachable only
         // via one hop (violates) and a longer unrestricted route.
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         let hop = f.a.role("hop");
         let target = f.a.role("target");
         g.insert(
@@ -1565,7 +1538,7 @@ mod tests {
     #[test]
     fn reverse_search_respects_depth_limits() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         let hop = f.a.role("hop");
         let target = f.a.role("target");
         g.insert(
@@ -1594,7 +1567,7 @@ mod tests {
         // examined first; it must not enter the Pareto frontier and
         // dominance-prune the usable one.
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         let member = f.a.role("member");
         g.insert(
             f.b.delegate(Node::entity(&f.maria), Node::role(member.clone()))
@@ -1619,7 +1592,7 @@ mod tests {
         // unpruned search walks it anyway for measurement, but must not
         // return a constraint-violating proof as a positive answer.
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         let bw = f.a.attr("BW", AttrOp::Min);
         g.insert_declaration(&AttrDeclaration::new(bw.clone(), 1000.0).unwrap());
         let target = f.a.role("target");
@@ -1650,7 +1623,7 @@ mod tests {
     #[test]
     fn expired_edges_ignored_at_query_time() {
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         let r = f.a.role("r");
         g.insert(
             f.a.delegate(Node::entity(&f.maria), Node::role(r.clone()))
@@ -1674,8 +1647,8 @@ mod tests {
 
     /// A moderately tangled fixture: role ladders with cross links, a
     /// constrained branch, a supported third-party edge, and a cycle.
-    fn tangled_graph(f: &Fx) -> (DelegationGraph, Vec<Node>) {
-        let mut g = DelegationGraph::new();
+    fn tangled_graph(f: &Fx) -> (ShardedGraph, Vec<Node>) {
+        let g = ShardedGraph::new();
         let bw = f.a.attr("BW", AttrOp::Min);
         g.insert_declaration(&AttrDeclaration::new(bw.clone(), 1000.0).unwrap());
         let mut nodes = vec![Node::entity(&f.maria), Node::entity(&f.b)];
@@ -1771,7 +1744,7 @@ mod tests {
     /// standing in for any worker-thread fault (bug, OOM-adjacent abort in
     /// a dependency, etc.).
     struct PoisonedView<'a> {
-        inner: &'a DelegationGraph,
+        inner: &'a ShardedGraph,
         poison: Node,
     }
 
@@ -1811,7 +1784,7 @@ mod tests {
         // `PoisonError` instead of the worker's own panic. The batched
         // design has no shared mutex; the payload must surface verbatim.
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         let target = f.a.role("target");
         for i in 0..4 {
             let mid = f.a.role(&format!("mid{i}"));
@@ -1855,7 +1828,7 @@ mod tests {
         // incomparable (BW falls as CPU rises): none may dominance-prune
         // another, and every threshold pair picks out exactly its edge.
         let f = fx();
-        let mut g = DelegationGraph::new();
+        let g = ShardedGraph::new();
         let bw = f.a.attr("BW", AttrOp::Min);
         let cpu = f.a.attr("CPU", AttrOp::Min);
         g.insert_declaration(&AttrDeclaration::new(bw.clone(), 1000.0).unwrap());

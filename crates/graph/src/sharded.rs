@@ -1,8 +1,8 @@
-//! A delegation store sharded behind per-shard reader–writer locks.
+//! The delegation store, sharded behind per-shard reader–writer locks.
 //!
-//! [`ShardedGraph`] holds the same data as [`DelegationGraph`] but splits
-//! it across independent lock domains so concurrent provers don't
-//! serialize on a single graph lock:
+//! [`ShardedGraph`] is the wallet's one graph of signed delegations
+//! (paper §4.1, Figure 1). It splits that graph across independent lock
+//! domains so concurrent provers don't serialize on a single graph lock:
 //!
 //! * **edge shards** — `by_subject` / `by_object` adjacency and provided
 //!   support proofs, sharded by the *namespace entity* of the keying node
@@ -23,8 +23,7 @@
 //! revocation marks — the safety-critical signal — live in a single id
 //! shard per id, so a revoke is observed atomically.
 
-use std::collections::BTreeSet;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -37,7 +36,7 @@ use drbac_core::{
 use crate::intern::{namespace_hash, FastMap, NodeId, NodeInterner};
 use crate::search::{direct_query_on, object_query_on, subject_query_on};
 use crate::view::{GraphView, InternedEdge};
-use crate::{DelegationGraph, GraphMetrics, SearchOptions, SearchStats};
+use crate::{SearchOptions, SearchStats};
 
 /// Default number of edge/id shards.
 const DEFAULT_SHARDS: usize = 16;
@@ -69,9 +68,41 @@ struct IdShard {
     revoked: BTreeSet<DelegationId>,
 }
 
-/// A concurrently usable delegation graph: the [`DelegationGraph`] data
-/// model behind per-shard `RwLock`s. See the module docs for the shard
-/// layout and lock rules.
+/// An in-memory graph of delegations, indexed by subject, object, and id,
+/// behind per-shard `RwLock`s (see the module docs for the shard layout
+/// and lock rules).
+///
+/// This is the data structure at the heart of a wallet (paper Figure 1):
+/// nodes are entities/roles/rights, edges are delegations. Alongside the
+/// edges it stores the *support proofs* that issuers of third-party
+/// delegations are required to provide at publication, the attribute
+/// declarations for base values, and the set of revoked delegation ids.
+/// Every mutator takes `&self`, so the same store serves one thread or
+/// many.
+///
+/// # Example
+///
+/// ```
+/// use drbac_core::{LocalEntity, Node, Timestamp};
+/// use drbac_crypto::SchnorrGroup;
+/// use drbac_graph::{SearchOptions, ShardedGraph};
+/// # use rand::SeedableRng;
+/// # let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+/// # let g = SchnorrGroup::test_256();
+/// let a = LocalEntity::generate("A", g.clone(), &mut rng);
+/// let m = LocalEntity::generate("M", g, &mut rng);
+///
+/// let graph = ShardedGraph::new();
+/// graph.insert(a.delegate(Node::entity(&m), Node::role(a.role("r"))).sign(&a)?);
+///
+/// let (proof, _stats) = graph.direct_query(
+///     &Node::entity(&m),
+///     &Node::role(a.role("r")),
+///     &SearchOptions::at(Timestamp(0)),
+/// );
+/// assert!(proof.is_some());
+/// # Ok::<(), drbac_core::ValidationError>(())
+/// ```
 #[derive(Debug)]
 pub struct ShardedGraph {
     edge_shards: Box<[RwLock<EdgeShard>]>,
@@ -354,59 +385,55 @@ impl ShardedGraph {
         *self.declarations.write() = DeclarationSet::default();
     }
 
-    /// Materializes a single-threaded [`DelegationGraph`] with the same
-    /// contents. This walks every shard — it's for diagnostics, export,
-    /// and oracle checks, not for the query hot path.
-    pub fn snapshot(&self) -> DelegationGraph {
-        let mut by_subject: HashMap<Node, Vec<Arc<SignedDelegation>>> = HashMap::new();
-        let mut by_object: HashMap<Node, Vec<Arc<SignedDelegation>>> = HashMap::new();
-        let mut supports: HashMap<(EntityId, Node), Proof> = HashMap::new();
-        for shard in self.edge_shards.iter() {
-            let guard = shard.read();
-            for (k, v) in &guard.by_subject {
-                by_subject.insert(
-                    self.interner.resolve(*k),
-                    v.iter().map(|e| Arc::clone(&e.cert)).collect(),
-                );
-            }
-            for (k, v) in &guard.by_object {
-                by_object.insert(
-                    self.interner.resolve(*k),
-                    v.iter().map(|e| Arc::clone(&e.cert)).collect(),
-                );
-            }
-            for (k, v) in &guard.supports {
-                supports.insert(k.clone(), v.clone());
+    /// Structural metrics over the stored graph (diagnostics and
+    /// experiment reporting), gathered in one pass over the shards.
+    pub fn metrics(&self) -> GraphMetrics {
+        fn note(node: &Node, entities: &mut BTreeSet<EntityId>, roles: &mut BTreeSet<Node>) {
+            match node {
+                Node::Entity(e) => {
+                    entities.insert(*e);
+                }
+                other => {
+                    roles.insert(other.clone());
+                    entities.insert(other.namespace());
+                }
             }
         }
-        let mut by_id: HashMap<DelegationId, Arc<SignedDelegation>> = HashMap::new();
-        let mut revoked: BTreeSet<DelegationId> = BTreeSet::new();
+        let mut m = GraphMetrics {
+            declarations: self.declarations.read().len(),
+            ..GraphMetrics::default()
+        };
+        let (mut entities, mut roles, mut issuers) =
+            (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
         for shard in self.id_shards.iter() {
             let guard = shard.read();
-            for (k, v) in &guard.by_id {
-                by_id.insert(*k, Arc::clone(v));
+            m.delegations += guard.by_id.len();
+            m.revoked += guard.revoked.len();
+            for cert in guard.by_id.values() {
+                let d = cert.delegation();
+                note(d.subject(), &mut entities, &mut roles);
+                note(d.object(), &mut entities, &mut roles);
+                issuers.insert(d.issuer());
+                entities.insert(d.issuer());
+                m.third_party += usize::from(d.kind() == drbac_core::DelegationKind::ThirdParty);
+                m.with_attributes += usize::from(!d.clauses().is_empty());
             }
-            revoked.extend(guard.revoked.iter().copied());
         }
-        DelegationGraph {
-            by_subject,
-            by_object,
-            by_id,
-            supports,
-            declarations: self.declarations.read().clone(),
-            revoked,
-            interner: NodeInterner::new(),
+        for shard in self.edge_shards.iter() {
+            let guard = shard.read();
+            m.provided_supports += guard.supports.len();
+            let widest = guard.by_subject.values().map(Vec::len).max().unwrap_or(0);
+            m.max_out_degree = m.max_out_degree.max(widest);
         }
+        m.entities = entities.len();
+        m.roles = roles.len();
+        m.issuers = issuers.len();
+        m
     }
 
-    /// Structural metrics (via [`ShardedGraph::snapshot`]; diagnostics
-    /// only).
-    pub fn metrics(&self) -> GraphMetrics {
-        self.snapshot().metrics()
-    }
-
-    /// Direct query (§4.1) against the live sharded store; see
-    /// [`DelegationGraph::direct_query`].
+    /// Direct query (§4.1): does a proof `subject ⇒ object` exist that
+    /// satisfies the constraints? Returns the first one found
+    /// (breadth-first, so minimal chain length) and the search work done.
     pub fn direct_query(
         &self,
         subject: &Node,
@@ -416,12 +443,14 @@ impl ShardedGraph {
         direct_query_on(self, subject, object, opts)
     }
 
-    /// Subject query (§4.1); see [`DelegationGraph::subject_query`].
+    /// Subject query (§4.1): enumerate proofs `subject ⇒ *` that do not
+    /// violate the constraints, one per reachable node.
     pub fn subject_query(&self, subject: &Node, opts: &SearchOptions) -> (Vec<Proof>, SearchStats) {
         subject_query_on(self, subject, opts)
     }
 
-    /// Object query (§4.1); see [`DelegationGraph::object_query`].
+    /// Object query (§4.1): enumerate proofs `* ⇒ object` that do not
+    /// violate the constraints, one per reaching node.
     pub fn object_query(&self, object: &Node, opts: &SearchOptions) -> (Vec<Proof>, SearchStats) {
         object_query_on(self, object, opts)
     }
@@ -465,21 +494,47 @@ impl GraphView for ShardedGraph {
     }
 }
 
-impl From<DelegationGraph> for ShardedGraph {
-    fn from(graph: DelegationGraph) -> Self {
-        let sharded = ShardedGraph::new();
-        for cert in graph.by_id.values() {
-            sharded.insert(Arc::clone(cert));
-        }
-        for support in graph.supports.values() {
-            sharded.provide_support(support.clone());
-        }
-        *sharded.declarations.write() = graph.declarations.clone();
-        for id in &graph.revoked {
-            let mut shard = sharded.id_shard_of(*id).write();
-            shard.revoked.insert(*id);
-        }
-        sharded
+/// Structural summary of a delegation graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct GraphMetrics {
+    /// Stored delegations (including revoked ones still marked).
+    pub delegations: usize,
+    /// Revocation marks.
+    pub revoked: usize,
+    /// Distinct entities appearing anywhere.
+    pub entities: usize,
+    /// Distinct role-like nodes.
+    pub roles: usize,
+    /// Distinct issuing entities.
+    pub issuers: usize,
+    /// Third-party delegations.
+    pub third_party: usize,
+    /// Delegations carrying attribute clauses.
+    pub with_attributes: usize,
+    /// Largest out-degree of any node.
+    pub max_out_degree: usize,
+    /// Provided support proofs on file.
+    pub provided_supports: usize,
+    /// Attribute declarations on file.
+    pub declarations: usize,
+}
+
+impl std::fmt::Display for GraphMetrics {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} delegations ({} third-party, {} with attributes, {} revoked), \
+             {} roles across {} entities, max out-degree {}, {} supports, {} declarations",
+            self.delegations,
+            self.third_party,
+            self.with_attributes,
+            self.revoked,
+            self.roles,
+            self.entities,
+            self.max_out_degree,
+            self.provided_supports,
+            self.declarations,
+        )
     }
 }
 
@@ -537,7 +592,7 @@ mod tests {
         let a = local("A", 1);
         let b = local("B", 7);
         let m = local("M", 2);
-        let mut plain = DelegationGraph::new();
+        let plain = ShardedGraph::with_shards(1);
         let mut certs = Vec::new();
         // A few ladders, a third-party edge with support, one revocation.
         let mut prev = Node::entity(&m);
@@ -562,7 +617,7 @@ mod tests {
         let revoked_id = certs[1].id();
         plain.revoke(revoked_id);
 
-        for shards in [1usize, 3, 16] {
+        for shards in [3usize, 16] {
             let g = ShardedGraph::with_shards(shards);
             for c in &certs {
                 g.insert(c.clone());
@@ -585,46 +640,85 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_preserves_contents() {
+    fn revoked_and_expired_edges_are_skipped() {
         let a = local("A", 1);
-        let b = local("B", 5);
         let m = local("M", 2);
         let g = ShardedGraph::new();
+        let id1 = g.insert(
+            a.delegate(Node::entity(&m), Node::role(a.role("r1")))
+                .sign(&a)
+                .unwrap(),
+        );
+        g.insert(
+            a.delegate(Node::entity(&m), Node::role(a.role("r2")))
+                .expires(Timestamp(5))
+                .sign(&a)
+                .unwrap(),
+        );
+        assert_eq!(g.edges_from(&Node::entity(&m), Timestamp(0)).len(), 2);
+        assert_eq!(g.edges_from(&Node::entity(&m), Timestamp(6)).len(), 1);
+        g.revoke(id1);
+        assert!(g.is_revoked(id1));
+        assert!(g.edges_from(&Node::entity(&m), Timestamp(6)).is_empty());
+    }
+
+    #[test]
+    fn supports_are_keyed_by_issuer_and_right() {
+        let a = local("A", 1);
+        let b = local("B", 2);
         let member = a.role("member");
         let grant = a
             .delegate(Node::entity(&b), Node::role_admin(member.clone()))
             .sign(&a)
             .unwrap();
         let support = Proof::from_steps(vec![ProofStep::new(grant)]).unwrap();
-        let id = g.insert_with_supports(
-            b.delegate(Node::entity(&m), Node::role(member.clone()))
-                .sign(&b)
-                .unwrap(),
-            vec![support.clone()],
-        );
-        let other = g.insert(
-            a.delegate(Node::entity(&m), Node::role(a.role("r")))
-                .sign(&a)
-                .unwrap(),
-        );
-        g.revoke(other);
-
-        let snap = g.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert!(snap.is_revoked(other));
-        assert!(snap.contains(id));
+        let g = ShardedGraph::new();
+        g.provide_support(support.clone());
         assert_eq!(
-            snap.provided_support(b.id(), &Node::role_admin(member.clone())),
-            Some(&support)
+            g.provided_support(b.id(), &Node::role_admin(member.clone())),
+            Some(support)
         );
-        // The snapshot answers queries like the sharded original.
-        let (want, _) = g.direct_query(&Node::entity(&m), &Node::role(member.clone()), &opts());
-        let (got, _) = snap.direct_query(&Node::entity(&m), &Node::role(member), &opts());
-        assert_eq!(want, got);
-        // And converting back keeps everything too.
-        let back = ShardedGraph::from(snap);
-        assert_eq!(back.len(), 2);
-        assert!(back.is_revoked(other));
+        assert_eq!(g.provided_support(a.id(), &Node::role_admin(member)), None);
+        assert_eq!(g.all_supports().len(), 1);
+    }
+
+    #[test]
+    fn metrics_count_structure() {
+        let a = local("A", 1);
+        let b = local("B", 2);
+        let m = local("M", 3);
+        let g = ShardedGraph::new();
+        assert_eq!(g.metrics(), GraphMetrics::default());
+
+        let bw = a.attr("bw", drbac_core::AttrOp::Min);
+        g.insert_declaration(&drbac_core::AttrDeclaration::new(bw.clone(), 10.0).unwrap());
+        // Self-certified with attribute.
+        let c1 = a
+            .delegate(Node::entity(&m), Node::role(a.role("r1")))
+            .with_attr(bw, 5.0)
+            .unwrap()
+            .sign(&a)
+            .unwrap();
+        // Third-party.
+        let c2 = b
+            .delegate(Node::role(a.role("r1")), Node::role(a.role("r2")))
+            .sign(&b)
+            .unwrap();
+        let id1 = g.insert(c1);
+        g.insert(c2);
+        g.revoke(id1);
+
+        let metrics = g.metrics();
+        assert_eq!(metrics.delegations, 2);
+        assert_eq!(metrics.revoked, 1);
+        assert_eq!(metrics.third_party, 1);
+        assert_eq!(metrics.with_attributes, 1);
+        assert_eq!(metrics.roles, 2);
+        assert_eq!(metrics.issuers, 2);
+        assert_eq!(metrics.entities, 3, "A, B, M");
+        assert_eq!(metrics.max_out_degree, 1);
+        assert_eq!(metrics.declarations, 1);
+        assert!(metrics.to_string().contains("2 delegations"));
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Read abstraction over delegation storage.
 //!
 //! The chain-search engine ([`crate::SearchOptions`], `search.rs`) is
-//! generic over this trait so the same traversal, pruning, and
-//! support-resolution logic runs against both the single-threaded
-//! [`crate::DelegationGraph`] and the concurrent [`crate::ShardedGraph`].
+//! generic over this trait: the store, [`crate::ShardedGraph`],
+//! implements it, and tests wrap the store in fault-injecting views.
 //! All methods return owned data: a view implementation may hold internal
 //! locks only for the duration of one call, never across search steps, so
 //! a search in progress can overlap with writers.
@@ -20,7 +19,6 @@ use std::sync::Arc;
 use drbac_core::{DeclarationSet, DelegationId, EntityId, Node, Proof, SignedDelegation, Timestamp};
 
 use crate::intern::{NodeId, NodeInterner};
-use crate::DelegationGraph;
 
 /// One adjacency entry: a credential plus the interned id of its far
 /// endpoint (the object for subject-indexed edges, the subject for
@@ -42,15 +40,15 @@ pub trait GraphView: Sync {
     fn interner(&self) -> &NodeInterner;
 
     /// Usable (unrevoked, unexpired at `now`) delegations whose subject
-    /// is the interned `node`, in insertion order, each with its object
+    /// is the interned `node`, in delegation-id order, each with its object
     /// endpoint pre-interned.
     fn edges_from_ids(&self, node: NodeId, now: Timestamp) -> Vec<InternedEdge>;
 
     /// Usable delegations whose object is the interned `node`, in
-    /// insertion order, each with its subject endpoint pre-interned.
+    /// delegation-id order, each with its subject endpoint pre-interned.
     fn edges_to_ids(&self, node: NodeId, now: Timestamp) -> Vec<InternedEdge>;
 
-    /// Usable delegations whose subject is `node`, in insertion order.
+    /// Usable delegations whose subject is `node`, in delegation-id order.
     fn edges_from(&self, node: &Node, now: Timestamp) -> Vec<Arc<SignedDelegation>> {
         match self.interner().get(node) {
             Some(id) => self
@@ -62,7 +60,7 @@ pub trait GraphView: Sync {
         }
     }
 
-    /// Usable delegations whose object is `node`, in insertion order.
+    /// Usable delegations whose object is `node`, in delegation-id order.
     fn edges_to(&self, node: &Node, now: Timestamp) -> Vec<Arc<SignedDelegation>> {
         match self.interner().get(node) {
             Some(id) => self
@@ -85,52 +83,4 @@ pub trait GraphView: Sync {
     /// once per search, so constraint evaluation inside one search is
     /// self-consistent even while declarations are concurrently updated.
     fn declaration_set(&self) -> DeclarationSet;
-}
-
-impl GraphView for DelegationGraph {
-    fn interner(&self) -> &NodeInterner {
-        self.node_interner()
-    }
-
-    fn edges_from_ids(&self, node: NodeId, now: Timestamp) -> Vec<InternedEdge> {
-        let interner = self.node_interner();
-        let resolved = interner.resolve(node);
-        self.outgoing(&resolved, now)
-            .map(|c| InternedEdge {
-                far: interner.intern(c.delegation().object()),
-                cert: Arc::clone(c),
-            })
-            .collect()
-    }
-
-    fn edges_to_ids(&self, node: NodeId, now: Timestamp) -> Vec<InternedEdge> {
-        let interner = self.node_interner();
-        let resolved = interner.resolve(node);
-        self.incoming(&resolved, now)
-            .map(|c| InternedEdge {
-                far: interner.intern(c.delegation().subject()),
-                cert: Arc::clone(c),
-            })
-            .collect()
-    }
-
-    fn edges_from(&self, node: &Node, now: Timestamp) -> Vec<Arc<SignedDelegation>> {
-        self.outgoing(node, now).cloned().collect()
-    }
-
-    fn edges_to(&self, node: &Node, now: Timestamp) -> Vec<Arc<SignedDelegation>> {
-        self.incoming(node, now).cloned().collect()
-    }
-
-    fn support_for(&self, issuer: EntityId, right: &Node) -> Option<Proof> {
-        self.provided_support(issuer, right).cloned()
-    }
-
-    fn id_revoked(&self, id: DelegationId) -> bool {
-        self.is_revoked(id)
-    }
-
-    fn declaration_set(&self) -> DeclarationSet {
-        self.declarations().clone()
-    }
 }

@@ -17,9 +17,9 @@
 
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
-use std::sync::Arc;
 
 use drbac_core::{DiscoveryTag, Node, ObjectFlag, SignedDelegation, SubjectFlag, WalletAddr};
+use drbac_graph::{GraphView, ShardedGraph};
 
 use crate::sim::SimNet;
 
@@ -79,9 +79,7 @@ pub fn audit_store_compliance(net: &SimNet, hosts: &[WalletAddr]) -> Vec<StoreVi
     let mut seen: HashSet<(drbac_core::DelegationId, AuditEndpoint)> = HashSet::new();
     for addr in hosts {
         let Some(host) = net.host(addr) else { continue };
-        let certs: Vec<Arc<SignedDelegation>> =
-            host.wallet().with_graph(|g| g.iter().cloned().collect());
-        for cert in certs {
+        for cert in host.wallet().with_graph(ShardedGraph::iter_certs) {
             let d = cert.delegation();
             if let Some(tag) = d.subject_tag() {
                 if requires_subject_registry(tag) && seen.insert((cert.id(), AuditEndpoint::Subject))
@@ -131,12 +129,12 @@ pub fn redelegations_of(net: &SimNet, registry: &WalletAddr, node: &Node) -> Vec
         return Vec::new();
     };
     let now = host.wallet().now();
-    let mut out: BTreeSet<String> = BTreeSet::new();
-    host.wallet().with_graph(|g| {
-        for cert in g.outgoing(node, now) {
-            out.insert(cert.delegation().to_string());
-        }
-    });
+    let out: BTreeSet<String> = host
+        .wallet()
+        .with_graph(|g| g.edges_from(node, now))
+        .iter()
+        .map(|cert| cert.delegation().to_string())
+        .collect();
     out.into_iter().collect()
 }
 

@@ -15,10 +15,7 @@
 //!   algorithm (forward, reverse, and bidirectional modes);
 //! * [`Switchboard`] — credentialed secure channels (handshake with real
 //!   signatures, optionally gated on a continuously monitored role proof),
-//!   modelled after the Switchboard abstraction the paper builds on (its reference \[8\]);
-//! * [`PushHub`] — a threaded (crossbeam) pub/sub fan-out demonstrating
-//!   the asynchronous event-push delivery model of delegation
-//!   subscriptions.
+//!   modelled after the Switchboard abstraction the paper builds on (its reference \[8\]).
 //!
 //! The simulator also injects faults deterministically: a seeded
 //! [`FaultPlan`] adds request loss, latency jitter and timeouts, and the
@@ -44,7 +41,6 @@ pub mod audit;
 mod daemon;
 mod discovery;
 pub mod proto;
-mod push;
 mod service;
 mod sim;
 mod switchboard;
@@ -58,7 +54,6 @@ pub use discovery::{
     Directory, DiscoveryAgent, DiscoveryOutcome, DiscoveryStep, SearchMode, TagLookup,
 };
 pub use proto::HealthReport;
-pub use push::{PushHub, PushPublisher};
 pub use service::{ServiceClosed, WalletClient, WalletService};
 pub use sim::{FaultPlan, NetError, NetStats, SimNet, StoreHandle, WalletHost};
 pub use switchboard::{Channel, ChannelError, Switchboard};

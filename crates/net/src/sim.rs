@@ -428,16 +428,10 @@ impl WalletHost {
     }
 
     /// Processes local expiries and pushes resulting invalidations to
-    /// subscribers. Drive after advancing the clock.
+    /// subscribers, in the wallet sweep's `(expiry, id)` order. Drive
+    /// after advancing the clock.
     pub fn process_expiries(&self, net: &SimNet) -> usize {
-        let now = self.wallet.now();
-        let expired: Vec<DelegationId> = self.wallet.with_graph(|g| {
-            g.iter()
-                .filter(|c| c.delegation().is_expired(now))
-                .map(|c| c.id())
-                .collect()
-        });
-        self.wallet.process_expiries();
+        let (expired, _) = self.wallet.process_expiries();
         for id in &expired {
             let event = DelegationEvent {
                 delegation: *id,
@@ -1156,6 +1150,51 @@ mod tests {
         assert_eq!(home.process_expiries(&f.net), 1);
         f.net.run_until_idle();
         assert!(!monitor.is_valid());
+    }
+
+    #[test]
+    fn expiry_pushes_arrive_in_sweep_order() {
+        // Two identical worlds: eight credentials lapse in the same tick,
+        // so the sweep's (expiry, id) order is id order, and a subscriber
+        // must see exactly that order in both worlds.
+        let run = || {
+            let f = fx();
+            let home = wallet(&f, "home");
+            let cache = wallet(&f, "cache");
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            for i in 0..8 {
+                let cert =
+                    f.a.delegate(Node::entity(&f.m), Node::role(f.a.role(&format!("r{i}"))))
+                        .expires(Timestamp(100))
+                        .sign(&f.a)
+                        .unwrap();
+                let id = home.wallet().publish(cert, vec![]).unwrap();
+                f.net
+                    .request(
+                        &"home".into(),
+                        Request::Subscribe {
+                            delegation: id,
+                            subscriber: "cache".into(),
+                        },
+                    )
+                    .unwrap();
+                let seen = Arc::clone(&seen);
+                cache
+                    .wallet()
+                    .subscribe(id, move |e| seen.lock().push(e.delegation));
+            }
+            f.clock.advance(Ticks(200));
+            assert_eq!(home.process_expiries(&f.net), 8);
+            f.net.run_until_idle();
+            let order = seen.lock().clone();
+            order
+        };
+        let first = run();
+        let mut sorted = first.clone();
+        sorted.sort();
+        assert_eq!(first.len(), 8);
+        assert_eq!(first, sorted, "pushes follow the sweep's id order");
+        assert_eq!(first, run(), "identical worlds push identically");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The centralized oracle: a single [`DelegationGraph`] that receives
+//! The centralized oracle: a single [`ShardedGraph`] that receives
 //! every schedule event and defines ground truth for each query.
 //!
 //! Generated worlds contain no expiring credentials, so an oracle
@@ -9,7 +9,7 @@
 use std::collections::BTreeSet;
 
 use drbac_core::{DelegationId, Proof, Timestamp};
-use drbac_graph::{DelegationGraph, SearchOptions};
+use drbac_graph::{SearchOptions, ShardedGraph};
 
 use crate::generate::{Event, QuerySpec};
 
@@ -17,14 +17,14 @@ use crate::generate::{Event, QuerySpec};
 /// delegation and declaration, minus the revocations applied so far.
 #[derive(Debug, Default)]
 pub struct Oracle {
-    graph: DelegationGraph,
+    graph: ShardedGraph,
 }
 
 impl Oracle {
     /// An empty oracle.
     pub fn new() -> Oracle {
         Oracle {
-            graph: DelegationGraph::new(),
+            graph: ShardedGraph::new(),
         }
     }
 
@@ -56,12 +56,12 @@ impl Oracle {
     }
 
     /// Ids revoked so far.
-    pub fn revoked(&self) -> &BTreeSet<DelegationId> {
-        self.graph.revoked()
+    pub fn revoked(&self) -> BTreeSet<DelegationId> {
+        self.graph.revoked_ids()
     }
 
     /// The underlying union graph (e.g. for declaration lookups).
-    pub fn graph(&self) -> &DelegationGraph {
+    pub fn graph(&self) -> &ShardedGraph {
         &self.graph
     }
 }

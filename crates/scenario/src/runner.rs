@@ -218,7 +218,7 @@ pub(crate) fn execute<S: Substrate>(
                         && (q.constraints.is_empty()
                             || proof
                                 .accumulate()
-                                .satisfies(&q.constraints, st.oracle.graph().declarations()));
+                                .satisfies(&q.constraints, &st.oracle.graph().declarations()));
                     if !sound {
                         unsound += 1;
                     }
@@ -264,7 +264,7 @@ pub(crate) fn execute<S: Substrate>(
     // Session termination: every monitor whose proof depends on a
     // revoked delegation must be dead — by push, or failing that by
     // the pull-based recovery sweep.
-    let revoked = st.oracle.revoked().clone();
+    let revoked = st.oracle.revoked();
     let expected_dead: Vec<&(ProofMonitor, BTreeSet<DelegationId>)> = monitors
         .iter()
         .filter(|(_, ids)| ids.iter().any(|id| revoked.contains(id)))

@@ -10,7 +10,7 @@ use drbac_core::{
     SignedDelegation, SignedRevocation, SimClock, Ticks, Timestamp, ValidationContext,
     ValidationError, WalletAddr,
 };
-use drbac_graph::{DelegationGraph, SearchOptions, SearchStats, ShardedGraph};
+use drbac_graph::{SearchOptions, SearchStats, ShardedGraph};
 use drbac_store::{StoreEvent, WalletStore};
 use parking_lot::Mutex;
 
@@ -1075,9 +1075,10 @@ impl Wallet {
     }
 
     /// Drops expired delegations, notifying their subscribers and
-    /// monitors. Returns `(expired_count, notifications)`. Drive this
-    /// after advancing the clock.
-    pub fn process_expiries(&self) -> (usize, usize) {
+    /// monitors. Returns `(expired_ids, notifications)`, the ids in the
+    /// sweep's `(expiry, id)` order. Drive this after advancing the
+    /// clock.
+    pub fn process_expiries(&self) -> (Vec<DelegationId>, usize) {
         let now = self.now();
         // Route via the `e/` expiry index when attached (one range scan
         // over exactly the lapsed entries), else the in-memory min-heap;
@@ -1102,7 +1103,7 @@ impl Wallet {
             });
         }
         drbac_obs::static_counter!("drbac.wallet.expired.count").add(expired.len() as u64);
-        (expired.len(), notifications)
+        (expired, notifications)
     }
 
     /// Delivers an event to local subscribers and proof monitors. Used
@@ -1173,16 +1174,15 @@ impl Wallet {
         delivered
     }
 
-    /// Read access to a point-in-time [`DelegationGraph`] snapshot of the
-    /// sharded store, for diagnostics, experiments, and oracle checks.
-    /// This materializes the whole graph — prefer the direct accessors
+    /// Read access to the wallet's live delegation store, for
+    /// diagnostics, experiments, and oracle checks. A lazily booted
+    /// wallet hydrates every credential from its index first, so the
+    /// closure sees the whole wallet; prefer the direct accessors
     /// ([`Wallet::is_revoked`], [`Wallet::get`], the query methods) on
     /// hot paths.
-    pub fn with_graph<T>(&self, f: impl FnOnce(&DelegationGraph) -> T) -> T {
-        // A whole-wallet view: a lazily booted wallet must pull the
-        // rest of its credentials from the index first.
+    pub fn with_graph<T>(&self, f: impl FnOnce(&ShardedGraph) -> T) -> T {
         self.hydrate_all();
-        f(&self.state.graph.snapshot())
+        f(&self.state.graph)
     }
 
     /// Serializes the wallet's durable contents — credentials, provided
@@ -1197,10 +1197,10 @@ impl Wallet {
         // The export must cover *everything* — a lazily booted wallet
         // would otherwise snapshot only its hydrated neighborhoods.
         self.hydrate_all();
-        let graph = self.state.graph.snapshot();
+        let graph = &self.state.graph;
         let mut w = Writer::tagged(b"drbac-wallet-v1");
 
-        let certs: Vec<Arc<SignedDelegation>> = graph.iter().cloned().collect();
+        let certs = graph.iter_certs();
         w.u64(certs.len() as u64);
         for cert in &certs {
             cert.as_ref().encode(&mut w);
@@ -1218,7 +1218,7 @@ impl Wallet {
             w.bytes(&decl.to_bytes());
         }
 
-        let revoked: Vec<DelegationId> = graph.revoked().iter().copied().collect();
+        let revoked = graph.revoked_ids();
         w.u64(revoked.len() as u64);
         for id in revoked {
             w.bytes(&id.0);
@@ -1619,7 +1619,7 @@ mod tests {
 
         f.clock.advance(Ticks(11));
         let (expired, notified) = f.wallet.process_expiries();
-        assert_eq!(expired, 1);
+        assert_eq!(expired.len(), 1);
         assert_eq!(notified, 1);
         assert!(!monitor.is_valid());
         assert!(f.wallet.is_empty());

@@ -14,6 +14,9 @@ RUSTFLAGS="-D warnings" cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== perfbench (its own workspace: build + self-test against these crates) =="
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== chaos suite (seed matrix) =="
 for seed in 1 2 3; do
     echo "-- DRBAC_CHAOS_SEED=$seed"

@@ -1014,7 +1014,7 @@ impl Context {
         let ctx = self.syntax();
         let mut out = String::new();
         self.wallet.with_graph(|g| {
-            for cert in g.iter() {
+            for cert in g.iter_certs() {
                 let revoked = if g.is_revoked(cert.id()) {
                     " [revoked]"
                 } else {
@@ -1028,14 +1028,31 @@ impl Context {
                 )
                 .unwrap();
             }
+            if out.is_empty() {
+                out.push_str("(wallet is empty)\n");
+            } else {
+                writeln!(out, "-- {}", g.metrics()).unwrap();
+            }
         });
-        if out.is_empty() {
-            out.push_str("(wallet is empty)\n");
-        } else {
-            let metrics = self.wallet.with_graph(|g| g.metrics());
-            out.push_str(&format!("-- {metrics}\n"));
-        }
         Ok(out)
+    }
+
+    /// The one stored credential whose id starts with `prefix`.
+    fn cert_by_prefix(&self, prefix: &str) -> Result<Arc<SignedDelegation>, String> {
+        let matches: Vec<_> = self.wallet.with_graph(|g| {
+            g.iter_certs()
+                .into_iter()
+                .filter(|c| c.id().to_string().starts_with(prefix))
+                .collect()
+        });
+        match matches.as_slice() {
+            [] => Err(format!("no delegation matches #{prefix}")),
+            [one] => Ok(Arc::clone(one)),
+            many => Err(format!(
+                "ambiguous prefix #{prefix} ({} matches)",
+                many.len()
+            )),
+        }
     }
 
     /// Parses `query`'s positional arguments: subject, object, and
@@ -1143,22 +1160,7 @@ impl Context {
         let [prefix, file] = args else {
             return Err("usage: export-cert <id-prefix> <file>".into());
         };
-        let matches: Vec<_> = self.wallet.with_graph(|g| {
-            g.iter()
-                .filter(|c| c.id().to_string().starts_with(prefix.as_str()))
-                .cloned()
-                .collect()
-        });
-        let cert = match matches.as_slice() {
-            [] => return Err(format!("no delegation matches #{prefix}")),
-            [one] => one.clone(),
-            many => {
-                return Err(format!(
-                    "ambiguous prefix #{prefix} ({} matches)",
-                    many.len()
-                ))
-            }
-        };
+        let cert = self.cert_by_prefix(prefix)?;
         fs::write(file, cert.to_bytes()).map_err(|e| e.to_string())?;
         Ok(format!("wrote #{} to {file}\n", cert.id()))
     }
@@ -1182,22 +1184,7 @@ impl Context {
         let [prefix] = args else {
             return Err("usage: revoke <id-prefix> (see `drbac list`)".into());
         };
-        let matches: Vec<_> = self.wallet.with_graph(|g| {
-            g.iter()
-                .filter(|c| c.id().to_string().starts_with(prefix.as_str()))
-                .cloned()
-                .collect()
-        });
-        let cert = match matches.as_slice() {
-            [] => return Err(format!("no delegation matches #{prefix}")),
-            [one] => one.clone(),
-            many => {
-                return Err(format!(
-                    "ambiguous prefix #{prefix} ({} matches)",
-                    many.len()
-                ))
-            }
-        };
+        let cert = self.cert_by_prefix(prefix)?;
         let issuer = self.signer_for(cert.delegation().issuer())?;
         let revocation = SignedRevocation::revoke(&cert, &issuer, self.wallet.now())
             .map_err(|e| e.to_string())?;
@@ -1406,22 +1393,7 @@ impl Context {
         let [prefix] = args else {
             return Err("usage: revoke <id-prefix> (see `drbac list`)".into());
         };
-        let matches: Vec<_> = self.wallet.with_graph(|g| {
-            g.iter()
-                .filter(|c| c.id().to_string().starts_with(prefix.as_str()))
-                .cloned()
-                .collect()
-        });
-        let cert = match matches.as_slice() {
-            [] => return Err(format!("no delegation matches #{prefix}")),
-            [one] => one.clone(),
-            many => {
-                return Err(format!(
-                    "ambiguous prefix #{prefix} ({} matches)",
-                    many.len()
-                ))
-            }
-        };
+        let cert = self.cert_by_prefix(prefix)?;
         let issuer = self.signer_for(cert.delegation().issuer())?;
         let revocation = SignedRevocation::revoke(&cert, &issuer, self.wallet.now())
             .map_err(|e| e.to_string())?;

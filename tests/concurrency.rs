@@ -396,7 +396,7 @@ fn racing_provers_agree_with_a_single_threaded_oracle() {
 fn optimized_engine_matches_reference_engine_byte_for_byte() {
     use drbac::core::{AttrConstraint, AttrDeclaration, AttrOp, Timestamp};
     use drbac::graph::{direct_query_on, object_query_on, reference, subject_query_on};
-    use drbac::graph::{DelegationGraph, SearchOptions};
+    use drbac::graph::{SearchOptions, ShardedGraph};
     use rand::Rng;
 
     let base: u64 = std::env::var("DRBAC_CHAOS_SEED")
@@ -411,7 +411,7 @@ fn optimized_engine_matches_reference_engine_byte_for_byte() {
         let partner = LocalEntity::generate("Par", g.clone(), &mut rng);
         let maria = LocalEntity::generate("Maria", g.clone(), &mut rng);
         let bw = owner.attr("BW", AttrOp::Min);
-        let mut graph = DelegationGraph::new();
+        let graph = ShardedGraph::new();
         graph.insert_declaration(&AttrDeclaration::new(bw.clone(), 1000.0).unwrap());
 
         // Random layered mesh: 12 roles, 40 random edges (possible

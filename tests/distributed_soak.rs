@@ -148,7 +148,7 @@ mod completeness_property {
         DiscoveryTag, LocalEntity, Node, SignedDelegation, SimClock, SubjectFlag, Ticks,
     };
     use drbac::crypto::SchnorrGroup;
-    use drbac::graph::{DelegationGraph, SearchOptions};
+    use drbac::graph::{SearchOptions, ShardedGraph};
     use drbac::net::{Directory, DiscoveryAgent, SimNet, WalletHost};
     use drbac::wallet::Wallet;
     use proptest::prelude::*;
@@ -208,7 +208,7 @@ mod completeness_property {
                 }
             };
 
-            let mut oracle = DelegationGraph::new();
+            let oracle = ShardedGraph::new();
             for (serial, (s, o)) in world.edges.iter().enumerate() {
                 let subject = node(*s);
                 let object = node(o + 2);
